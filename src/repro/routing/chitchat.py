@@ -22,6 +22,8 @@ bound in seconds.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -982,13 +984,12 @@ class InterestStore:
     Per-table semantics are untouched — tables are :class:`_StoreTable`
     row views and run the exact :class:`InterestTable` code.  What the
     fusion buys is the *batched* tick operations (:meth:`batch_decay`,
-    :meth:`batch_grow_pairs`): contacts in one scan tick whose
-    endpoints do not interleave run their Algorithm 1/2 updates as a
-    handful of ufuncs over a ``(contacts, keywords)`` block instead of
-    two Python calls per contact.  Both batched forms evaluate the
-    identical IEEE expression per element as the per-table paths, so
-    results are bit-identical (the differential harness and the fused
-    property tests pin this).
+    :meth:`batch_grow_pairs`): a scan tick's contacts run their
+    Algorithm 1/2 updates in rounds of distinct rows, each round a
+    handful of array passes instead of two Python calls per contact.
+    Both batched forms evaluate the identical IEEE expression per
+    element as the per-table paths, so results are bit-identical (the
+    differential harness and the fused property tests pin this).
 
     Rows are assigned lazily (tables are created on first contact), so
     memory scales with the *touched* population, not the configured one.
@@ -1068,50 +1069,83 @@ class InterestStore:
         *,
         beta: float,
         prune_below: float = 1e-3,
-    ) -> None:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Algorithm 1 over many rows at once.
 
         Args:
-            rows: Store rows to decay.  The caller guarantees they are
-                pairwise non-interfering (no row is another's connected
-                peer) and that each has at least one present column —
-                the per-table path early-returns (no stamp, no version
-                bump) on empty tables, so empty rows must not be here.
+            rows: Distinct store rows to decay.  Rows are updated
+                independently: the caller supplies each row's connected
+                mask, so rows may be each other's peers.  A row with no
+                present column is left untouched (no stamp, no version
+                bump), like the per-table path's early return.
             connected: ``(len(rows), columns)`` bool mask of keyword
                 columns held by each row's currently-connected peers.
             now: Current time ``T_c``.
             beta: Decay constant.
             prune_below: Transient prune threshold.
 
+        Returns:
+            ``None`` when no row pruned, else ``(positions, masks)``:
+            the indices into ``rows`` that pruned and, per such row,
+            the bool mask of the columns it pruned.
+
         Per element this evaluates exactly the per-table expression
         (stamp connected ``T_l`` first, ``(w - half)/max(beta·dt, 1) +
         half``, prune transients below the threshold), so the floats
-        are bit-identical to ``InterestTable.decay``.
+        are bit-identical to ``InterestTable.decay`` (``beta * dt`` and
+        ``dt * beta`` are the same IEEE product).  It runs on the
+        present cells only: tables are sparse in the shared keyword
+        space, and a stamp on an absent column is dormant storage
+        (rewritten when the column is acquired), so only present
+        connected cells are stamped.
         """
-        W = self._w[rows]
-        D = self._d[rows]
-        P = self._p[rows]
-        L = np.where(connected, now, self._l[rows])
-        elapsed = now - L
-        stale = P & (elapsed > 0.0)
-        denominator = np.maximum(beta * elapsed, 1.0)
-        half = D * 0.5
-        decayed = (W - half) / denominator + half
-        prune = stale & ~D & (decayed < prune_below)
-        new_w = np.where(stale, decayed, W)
-        new_w[prune] = 0.0
-        self._w[rows] = new_w
-        self._l[rows] = L
-        self._p[rows] = P & ~prune
-        stale_any = stale.any(axis=1)
-        prune_any = prune.any(axis=1)
+        # The store arrays are always allocated whole (C-contiguous),
+        # so the flat reshapes below are writable views.
+        columns = self._w.shape[1]
+        present = self._p[rows]
+        last = self._l.reshape(-1)
+        block = np.flatnonzero(present & connected)
+        last[rows[block // columns] * columns + block % columns] = now
+        block = np.flatnonzero(present & ~connected)
+        block_row = block // columns
+        cells = rows[block_row] * columns + block % columns
+        den = np.subtract(now, last[cells])
+        stale = den > 0.0
+        cells = cells[stale]
+        block_row = block_row[stale]
+        den = den[stale]
+        den *= beta
+        np.maximum(den, 1.0, out=den)
+        direct = self._d.reshape(-1)[cells]
+        half = direct * 0.5
+        weight = self._w.reshape(-1)
+        decayed = weight[cells]
+        decayed -= half
+        decayed /= den
+        decayed += half
+        weight[cells] = decayed
+        prune = decayed < prune_below
+        prune &= ~direct
         tables = self._tables
-        for k, row in enumerate(rows.tolist()):
-            if stale_any[k]:
-                table = tables[row]
-                table.version += 1
-                if prune_any[k]:
-                    table._members_version += 1
+        result = None
+        if prune.any():
+            dead = cells[prune]
+            weight[dead] = 0.0
+            self._p.reshape(-1)[dead] = False
+            dead_row = block_row[prune]
+            hit = np.zeros(rows.size, dtype=bool)
+            hit[dead_row] = True
+            positions = np.flatnonzero(hit)
+            masks = np.zeros((positions.size, columns), dtype=bool)
+            masks[np.searchsorted(positions, dead_row), dead % columns] = True
+            result = (positions, masks)
+            for k in positions.tolist():
+                tables[rows[k]]._members_version += 1
+        hit = np.zeros(rows.size, dtype=bool)
+        hit[block_row] = True
+        for k in np.flatnonzero(hit).tolist():
+            tables[rows[k]].version += 1
+        return result
 
     def batch_grow_pairs(
         self,
@@ -1193,6 +1227,21 @@ class InterestStore:
                     table._members_version += 1
 
 
+def _write_row(
+    table: InterestTable,
+    entry: Tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
+) -> None:
+    """Write a decay row planned by ``prepare_contact_batch`` (weights,
+    stamps, presence, version, members version) into ``table``.  The
+    store may have widened since the plan; new columns are untouched."""
+    width = entry[0].size
+    table._weight[:width] = entry[0]
+    table._last[:width] = entry[1]
+    table._present[:width] = entry[2]
+    table.version = entry[3]
+    table._members_version = entry[4]
+
+
 class ChitChatRouter(Router):
     """The plain ChitChat protocol — the paper's comparison baseline.
 
@@ -1271,10 +1320,16 @@ class ChitChatRouter(Router):
         #: to an array-core world (see :meth:`bind`); None on the
         #: object-core path, where tables own their arrays.
         self._store: Optional[InterestStore] = None
-        #: ``(pair, node)`` decay sides already run (or proven no-ops)
-        #: by :meth:`prepare_contact_batch` this tick;
-        #: ``run_rtsr_decay`` consumes and skips them side by side.
-        self._predecayed: Set[Tuple[Tuple[int, int], int]] = set()
+        #: Pairs whose decay :meth:`prepare_contact_batch` planned this
+        #: tick; ``run_rtsr_decay`` consumes them instead of decaying.
+        self._planned: Set[Tuple[int, int]] = set()
+        #: Planned rows still to be written at their side's sequential
+        #: point: ``(pair, node) -> (weights, stamps, present, version,
+        #: members version)`` (see :meth:`prepare_contact_batch`).
+        self._deferred: Dict[
+            Tuple[Tuple[int, int], int],
+            Tuple[np.ndarray, np.ndarray, np.ndarray, int, int],
+        ] = {}
         # Interned memo keys: ordered keyword sequence -> small int.
         # Messages cache their key in ``_memo_key`` (invalidated on
         # annotate), so the hot paths hash one int instead of a string
@@ -1471,19 +1526,25 @@ class ChitChatRouter(Router):
         return parts
 
     def run_rtsr_decay(self, link: Link) -> None:
-        """Phase one of the weight exchange: decay on both endpoints."""
-        predecayed = self._predecayed
-        now = self.world.now
+        """Phase one of the weight exchange: decay on both endpoints.
+
+        A pair planned by :meth:`prepare_contact_batch` only writes the
+        rows its sides deferred to this point; any other pair decays
+        per table.
+        """
         pair = link.pair
+        planned = self._planned
+        if pair in planned:
+            planned.discard(pair)
+            deferred = self._deferred
+            if deferred:
+                for node_id in pair:
+                    entry = deferred.pop((pair, node_id), None)
+                    if entry is not None:
+                        _write_row(self._tables[node_id], entry)
+            return
+        now = self.world.now
         for node_id in pair:
-            if predecayed:
-                key = (pair, node_id)
-                if key in predecayed:
-                    # prepare_contact_batch already ran this side's
-                    # decay (in the batched form, bit-identical) or
-                    # proved it a no-op; don't decay twice.
-                    predecayed.discard(key)
-                    continue
             self.table(node_id).decay(
                 now, self._connected_ids(node_id), beta=self.beta
             )
@@ -1673,165 +1734,310 @@ class ChitChatRouter(Router):
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
     ) -> None:
-        """Run the decay phase for a whole admitted contact batch.
+        """Plan the decay phase of a whole admitted contact batch.
 
         The world (SoA core) calls this once per contact-up tick with
-        every admitted pair, *before* any link is created or exchange
-        runs.  Every node's **first** decay of the tick runs here as
-        one vectorised pass over the fused store; the per-pair
-        ``run_rtsr_decay`` skips exactly those sides and runs the rest
-        (second and later occurrences of the same node) sequentially at
-        their legacy per-pair point.
+        every admitted pair (distinct, in tick order), *before* any
+        link is created or exchange runs.  Every decay side of the tick
+        runs here through :meth:`InterestStore.batch_decay` in
+        occurrence rounds: a node's k-th pair of the tick goes in round
+        k, so each round is one kernel call over distinct rows and a
+        node's own decays keep their order.
 
-        Why first occurrences are always batchable: a node's table is
-        read between its own decays only by the message exchanges of
-        its *own* earlier pairs (interest sums), and before its first
-        pair of the tick it has none — so its first decay commutes from
-        its legacy position to the head of the tick.  Its stamp mask —
-        the open peers' membership the per-pair path reads through
-        ``_connected_ids`` — is its tick-start open peers plus its
-        first partner, all known up front.  Membership only *shrinks*
-        during an up tick (growth and subscriptions happen elsewhere),
-        and the single shrinking operation is the decay prune — so the
-        one ordering hazard is a row pruning mid-tick, which would make
-        a neighbour's mask depend on where in the tick it is read.
-        Nodes that could prune are found up front by a conservative
-        vectorised test (lightest transient weight under twice the
-        prune threshold times the node's largest possible divisor
-        raised to its pair count this tick — a 2x margin over the
-        sequential-division drift, bounded rowwise from below); they
-        and every batch node reading their membership (partners and
-        tick-start open neighbours) fall back to the exact sequential
-        path.  At paper densities this demotes ~3% of pairs.
+        Exactness rests on one rule: a side reads each connected
+        peer's membership *as of its own sequential position* (pair j's
+        first endpoint decays at position 2j, its second at 2j + 1).
+        Membership only shrinks during an up tick (growth and
+        subscriptions happen elsewhere, fresh tables hold only their
+        direct interests wherever they are created), and the one
+        shrinking operation is the decay prune.  So a side's stamp mask
+        is the OR of its peers' tick-start membership — tick-start open
+        peers plus the partners of its pairs so far — minus the columns
+        each peer pruned at an earlier position.  Rounds stamp with the
+        prune-free OR and log the prunes the kernel actually performed;
+        a node with a side after a logged prune of a peer, on a column
+        it holds (a stamp on an absent column is dormant storage), is
+        then replayed from its tick-start row with exact masks read
+        through the log, and any change to its own prune log replays
+        its readers in turn.  Changes only travel to strictly later
+        positions, so the fixpoint converges by induction on position.
 
-        Empty tables are a special case on both paths: the per-table
-        decay early-returns on them (no stamp, no version bump), and
-        membership cannot appear during an up tick, so *all* their
-        sides are marked as done without running anything.
+        The rest of the tick reads tables only through exchanges, and
+        an exchange reads them only when a sender's buffer is non-empty
+        (buffers are frozen for the whole up tick).  A node's final row
+        is therefore written now when no pair before its last side has
+        a non-empty buffer on either endpoint.  Any other node keeps
+        its tick-start row; its planned rows (and version counters) are
+        written by ``run_rtsr_decay`` at each side's sequential point.
+
+        Empty tables are exact no-ops on both paths — the per-table
+        decay early-returns on them (no stamp, no version bump) — and
+        so are tables whose present columns are all stamped at ``now``
+        (nothing decays or prunes).  Neither reaches the kernel, nor do
+        rows a prune empties mid-tick.
         """
         store = self._store
         if store is None:
             return
-        predecayed = self._predecayed
-        predecayed.clear()
+        planned = self._planned
+        planned.clear()
+        planned.update(pairs)
+        deferred = self._deferred
+        deferred.clear()
         world = self.world
         now = world.now
         beta = self.beta
-        open_links = world.open_links
         table = self.table
-        # Node -> [(pair, partner), ...] in tick order; the first entry
-        # is the occurrence the batch takes over.
-        occurrences: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
-        occ_get = occurrences.get
-        for pair in pairs:
-            a, b = pair
-            lst = occ_get(a)
-            if lst is None:
-                occurrences[a] = [(pair, b)]
-            else:
-                lst.append((pair, b))
-            lst = occ_get(b)
-            if lst is None:
-                occurrences[b] = [(pair, a)]
-            else:
-                lst.append((pair, a))
-        # Materialise every table this tick's decays would create (the
+        tables = self._tables
+        # Local ids: the tick's nodes in first-appearance order, then
+        # tick-start open peers outside the tick.  Per tick node: the
+        # positions of its sides and the partner of each side.
+        local: Dict[int, int] = {}
+        nodes: List[int] = []
+        side_pos: List[List[int]] = []
+        side_peer: List[List[int]] = []
+        rounds: List[List[int]] = []
+        for j, pair in enumerate(pairs):
+            ends = []
+            for node in pair:
+                i = local.get(node)
+                if i is None:
+                    i = local[node] = len(nodes)
+                    nodes.append(node)
+                    side_pos.append([])
+                    side_peer.append([])
+                ends.append(i)
+            ia, ib = ends
+            for i, peer, position in ((ia, ib, 2 * j), (ib, ia, 2 * j + 1)):
+                k = len(side_pos[i])
+                if k == len(rounds):
+                    rounds.append([])
+                rounds[k].append(i)
+                side_pos[i].append(position)
+                side_peer[i].append(peer)
+        # Materialise every table this tick's decays would read (the
         # per-pair path creates partner and open-peer tables inside
         # ``_connected_ids``; fresh-table contents do not depend on
-        # creation order within the tick) and collect each batch
-        # node's tick-start open-peer rows once.
-        tables = self._tables
-        tables_get = tables.get
-        start_peer_rows: Dict[int, List[int]] = {}
-        for node in occurrences:
+        # creation order within the tick), list each node's tick-start
+        # open peers (by depth: ``by_depth[d]`` holds every node's d-th
+        # peer) and find the first pair that can read tables — the
+        # earliest pair of any node with a buffered message.
+        n_tick = len(nodes)
+        open_links = world.open_links
+        node_of = world.node
+        first_read = len(pairs)
+        start_peers: List[List[int]] = []
+        by_depth: List[Tuple[List[int], List[int]]] = []
+        for i in range(n_tick):
+            node = nodes[i]
             if node not in tables:
                 table(node)
-            rows = []
+            if len(node_of(node).buffer) and side_pos[i][0] < 2 * first_read:
+                first_read = side_pos[i][0] // 2
+            peers = []
             for link in open_links(node):
                 peer = link.b if link.a == node else link.a
-                peer_table = tables_get(peer)
-                if peer_table is None:
-                    peer_table = table(peer)
-                rows.append(peer_table._row)
-            start_peer_rows[node] = rows
-        nodes = list(occurrences)
-        n_nodes = len(nodes)
-        node_rows = np.fromiter(
-            (tables[n]._row for n in nodes), dtype=np.intp, count=n_nodes
+                q = local.get(peer)
+                if q is None:
+                    q = local[peer] = len(nodes)
+                    nodes.append(peer)
+                    if peer not in tables:
+                        table(peer)
+                if len(peers) == len(by_depth):
+                    by_depth.append(([], []))
+                owners, members = by_depth[len(peers)]
+                owners.append(i)
+                members.append(q)
+                peers.append(q)
+            start_peers.append(peers)
+        rows_all = np.fromiter(
+            (tables[n]._row for n in nodes), dtype=np.intp, count=len(nodes)
         )
-        presence = store._p[node_rows]
-        present_any = presence.any(axis=1)
-        # Conservative prune risk as row scalars: a node can prune only
-        # if its lightest transient weight divided by its *largest*
-        # possible per-tick divisor, applied once per occurrence, dips
-        # under twice the prune threshold.  This bounds the exact
-        # per-element test (weight / den**k per keyword) from below, so
-        # it only ever demotes more — and keeps the matrix maths to
-        # two masked reductions instead of a dense power.
-        transient = presence & ~store._d[node_rows]
-        wmin = np.where(
-            transient, store._w[node_rows], np.inf
-        ).min(axis=1)
-        lmin = np.where(
-            transient, store._l[node_rows], np.inf
-        ).min(axis=1)
-        denmax = np.maximum(beta * (now - lmin), 1.0)
-        k = np.fromiter(
-            (len(occurrences[n]) for n in nodes),
-            dtype=np.float64, count=n_nodes,
-        )
-        risky = wmin < 2e-3 * denmax ** k
-        pruny = {nodes[i] for i in np.flatnonzero(risky)}
-        tainted = set(pruny)
-        if pruny:
-            for n in pruny:
-                for _pair, partner in occurrences[n]:
-                    tainted.add(partner)
-            pruny_rows = {int(tables[n]._row) for n in pruny}
-            for n in nodes:
-                if n in tainted:
+        member0 = store._p[rows_all]
+        tick_rows = rows_all[:n_tick]
+        # Live nodes hold a present row whose stamp is behind ``now``.
+        # Every other tick node is an exact no-op all tick: an empty
+        # row early-returns, and a row stamped at ``now`` on every
+        # present column has nothing to decay or prune (a stamp only
+        # ever moves to ``now``); its other columns' stamps are dormant
+        # storage, rewritten when the column is acquired.
+        candidates = np.flatnonzero(member0[:n_tick].any(axis=1))
+        last0 = store._l[tick_rows[candidates]]
+        moving = ((last0 < now) & member0[candidates]).any(axis=1)
+        live = candidates[moving]
+        last0 = last0[moving]
+        live_rows = tick_rows[live]
+        weight0 = store._w[live_rows]
+        slot = [-1] * n_tick
+        for s, i in enumerate(live.tolist()):
+            slot[i] = s
+        dead = [s < 0 for s in slot]
+
+        defer = [
+            slot[i] >= 0 and side_pos[i][-1] // 2 > first_read
+            for i in range(n_tick)
+        ]
+        versions0 = [
+            (t._members_version, t.version)
+            for t in (tables[nodes[i]] for i in live.tolist())
+        ]
+
+        # Prune-free stamp masks (tick-start open peers now, one
+        # partner more per round).
+        columns = store.columns
+        masks = np.zeros((n_tick, columns), dtype=bool)
+        for owners, members in by_depth:
+            masks[owners] |= member0[members]
+
+        # local id -> {position: columns the kernel pruned there}
+        prunes: Dict[int, Dict[int, np.ndarray]] = {}
+        # local id -> earliest side that read a logged prune (rounds
+        # read prune-free masks; these nodes are replayed)
+        stale_from: Dict[int, int] = {}
+
+        def exact_mask(i: int, k: int) -> np.ndarray:
+            position = side_pos[i][k]
+            mask = np.zeros(columns, dtype=bool)
+            for q in start_peers[i] + side_peer[i][:k + 1]:
+                member = member0[q]
+                for p, cols in prunes.get(q, {}).items():
+                    if p < position:
+                        member = member & ~cols
+                mask |= member
+            return mask
+
+        def mark_readers(q: int, position: int, cols: np.ndarray) -> None:
+            # Every side that reads q's membership after ``position``
+            # and holds a column q pruned there (a stamp on an absent
+            # column is dormant): tick-start open peers from their
+            # first side, partners from their side of the shared pair
+            # (at position 2j or 2j + 1) on.
+            readers = [(m, position) for m in start_peers[q] if m < n_tick]
+            readers.extend(
+                (m, max(position, side_pos[q][k] // 2 * 2 - 1))
+                for k, m in enumerate(side_peer[q])
+            )
+            for m, after in readers:
+                if slot[m] < 0 or not (cols & member0[m]).any():
                     continue
-                for row in start_peer_rows[n]:
-                    if row in pruny_rows:
-                        tainted.add(n)
-                        break
-        batch_idx: List[int] = []
-        flat_peer_rows: List[int] = []
-        starts: List[int] = []
-        present_list = present_any.tolist()
-        predecayed_add = predecayed.add
-        for i in range(n_nodes):
-            n = nodes[i]
-            occ = occurrences[n]
-            if not present_list[i]:
-                for pair, _partner in occ:
-                    predecayed_add((pair, n))
-                continue
-            if n in tainted:
-                continue
-            batch_idx.append(i)
-            predecayed_add((occ[0][0], n))
-            # Stamp mask sources: tick-start open peers, then the first
-            # partner (whose link exists by the time the per-pair path
-            # would have read it).
-            starts.append(len(flat_peer_rows))
-            flat_peer_rows.extend(start_peer_rows[n])
-            flat_peer_rows.append(int(tables[occ[0][1]]._row))
-        if batch_idx:
-            # Segment-OR the gathered peer membership rows into one
-            # connected mask per batched node (every segment is
-            # non-empty: the first partner is always there).
-            gathered = store._p[
-                np.asarray(flat_peer_rows, dtype=np.intp)
-            ]
-            connected = np.logical_or.reduceat(
-                gathered, np.asarray(starts, dtype=np.intp), axis=0
+                k = bisect_right(side_pos[m], after)
+                if k >= len(side_pos[m]):
+                    continue
+                if k < stale_from.get(m, k + 1):
+                    stale_from[m] = k
+
+        def defer_side(i: int, k: int, w, last, present) -> None:
+            t = tables[nodes[i]]
+            deferred[(pairs[side_pos[i][k] // 2], nodes[i])] = (
+                w, last, present, t.version, t._members_version,
             )
-            store.batch_decay(
-                node_rows[np.asarray(batch_idx, dtype=np.intp)],
-                connected, now, beta=beta,
+
+        for k, members in enumerate(rounds):
+            idx = [i for i in members if not dead[i]]
+            if not idx:
+                continue
+            idx_arr = np.asarray(idx, dtype=np.intp)
+            partners = np.fromiter(
+                (side_peer[i][k] for i in idx), dtype=np.intp, count=len(idx)
             )
-        self._preselect(pairs, now)
+            connected = masks[idx_arr] | member0[partners]
+            masks[idx_arr] = connected
+            rows = tick_rows[idx_arr]
+            result = store.batch_decay(rows, connected, now, beta=beta)
+            if result is not None:
+                for t, cols in zip(result[0].tolist(), result[1]):
+                    i = idx[t]
+                    position = side_pos[i][k]
+                    prunes.setdefault(i, {})[position] = cols
+                    if not store._p[rows[t]].any():
+                        dead[i] = True
+                    mark_readers(i, position, cols)
+            picked = [t for t, i in enumerate(idx) if defer[i]]
+            if picked:
+                block = rows[picked]
+                w_rows = store._w[block]
+                l_rows = store._l[block]
+                p_rows = store._p[block]
+                for n, t in enumerate(picked):
+                    defer_side(idx[t], k, w_rows[n], l_rows[n], p_rows[n])
+
+        if stale_from:
+            queue = [(side_pos[m][k], m) for m, k in stale_from.items()]
+            heapq.heapify(queue)
+            while queue:
+                _, m = heapq.heappop(queue)
+                if stale_from.pop(m, None) is None:
+                    continue
+                # Replay m from its tick-start row with exact masks.
+                s = slot[m]
+                row = live_rows[s]
+                store._w[row] = weight0[s]
+                store._l[row] = last0[s]
+                store._p[row] = member0[m]
+                t = tables[nodes[m]]
+                t._members_version, t.version = versions0[s]
+                old = prunes.pop(m, {})
+                new: Dict[int, np.ndarray] = {}
+                dead[m] = False
+                for k, position in enumerate(side_pos[m]):
+                    if dead[m]:
+                        deferred.pop((pairs[position // 2], nodes[m]), None)
+                        continue
+                    result = store.batch_decay(
+                        live_rows[s:s + 1], exact_mask(m, k)[None, :],
+                        now, beta=beta,
+                    )
+                    if result is not None:
+                        new[position] = result[1][0]
+                        dead[m] = not store._p[row].any()
+                    if defer[m]:
+                        defer_side(
+                            m, k, store._w[row].copy(),
+                            store._l[row].copy(), store._p[row].copy(),
+                        )
+                if new:
+                    prunes[m] = new
+                for position in sorted(old.keys() | new.keys()):
+                    before = old.get(position)
+                    after = new.get(position)
+                    if before is None:
+                        mark_readers(m, position, after)
+                    elif after is None:
+                        mark_readers(m, position, before)
+                    elif not np.array_equal(before, after):
+                        mark_readers(m, position, before ^ after)
+                for q, k in stale_from.items():
+                    heapq.heappush(queue, (side_pos[q][k], q))
+
+        eligible = [
+            pair
+            for j, pair in enumerate(pairs)
+            if all(
+                slot[i] < 0 or side_pos[i][0] // 2 == j
+                for i in (local[pair[0]], local[pair[1]])
+            )
+        ]
+        held = [i for i in range(n_tick) if defer[i]]
+        if not held:
+            self._preselect(eligible, now)
+            return
+        # Deferred nodes: show each its first-side row while the
+        # preselection reads it (a pair is eligible only at both
+        # endpoints' first side), then put back the tick-start row.
+        for i in held:
+            _write_row(
+                tables[nodes[i]],
+                deferred[(pairs[side_pos[i][0] // 2], nodes[i])],
+            )
+        self._preselect(eligible, now)
+        held_slots = [slot[i] for i in held]
+        held_rows = live_rows[held_slots]
+        store._w[held_rows] = weight0[held_slots]
+        store._l[held_rows] = last0[held_slots]
+        store._p[held_rows] = member0[held]
+        for i, s in zip(held, held_slots):
+            t = tables[nodes[i]]
+            t._members_version, t.version = versions0[s]
 
     def _buffer_entries(
         self, node
@@ -1876,30 +2082,29 @@ class ChitChatRouter(Router):
         return entry
 
     def _preselect(self, pairs: List[Tuple[int, int]], now: float) -> None:
-        """Precompute ``select_messages`` for every provably-safe side.
+        """Precompute ``select_messages`` for both sides of ``pairs``.
 
-        Runs at the tail of :meth:`prepare_contact_batch`, after the
-        batched decay.  A pair is safe when *both* its sides are in
-        ``_predecayed`` — each endpoint's table is then final for the
-        tick by the time that pair's exchange runs (its only decay of
-        the tick already happened here, or it is empty and decay is a
-        no-op), and everything else ``select_messages`` reads is frozen
-        for the whole up tick: buffers, seen-sets and capacities only
-        change in transfer-completion events (``send_message`` just
-        queues), and the whole tick's opens run inside one engine
-        callback.  So computing all safe sides now, against the same
-        state their sequential calls would see, is bit-identical — and
-        lets candidate filtering, interest sums, classification and the
+        Runs at the tail of :meth:`prepare_contact_batch` over the pairs
+        at which each endpoint is at its first side of the tick or
+        holds a row no decay of the tick changes.  Each endpoint's
+        table then reads, while this runs, exactly as at that pair's
+        exchange: a deferred node is shown its first-side row for the
+        duration of this call, and a node whose final row is already
+        written either has no later side or sits in a pair with both
+        buffers empty, whose selection reads no table.  Everything else ``select_messages`` reads is frozen for the
+        whole up tick: buffers, seen-sets and capacities only change in
+        transfer-completion events (``send_message`` just queues), and
+        the whole tick's opens run inside one engine callback.  So
+        computing these sides now is bit-identical — and lets candidate
+        filtering, interest sums, classification and the
         ``(-strength, uuid)`` ordering run as one fused pass instead of
         two table gathers and two Python sorts per pair.
 
-        Unsafe sides (multi-occurrence or prune-tainted nodes) are
-        simply not stored; their ``select_messages`` calls take the
-        sequential path unchanged.
+        Sides not stored here take the sequential ``select_messages``
+        path unchanged.
         """
         preselected = self._preselected
         preselected.clear()
-        predecayed = self._predecayed
         store = self._store
         world = self.world
         node_of = world.node
@@ -1958,10 +2163,7 @@ class ChitChatRouter(Router):
         append_ss = flat_sslot.append
         append_msg = flat_msg.append
 
-        for pair in pairs:
-            a, b = pair
-            if (pair, a) not in predecayed or (pair, b) not in predecayed:
-                continue
+        for a, b in pairs:
             for sender_id, receiver_id in ((a, b), (b, a)):
                 side = len(sides)
                 sides.append((sender_id, receiver_id))

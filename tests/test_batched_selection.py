@@ -142,12 +142,13 @@ def test_preselect_matches_sequential(scenario):
 
     router_a.prepare_contact_batch(pairs)
     stored = dict(router_a._preselected)
-    # Every side of every safe pair must be stored (both directions).
-    for pair in pairs:
-        a, b = pair
-        if ((pair, a) in router_a._predecayed
-                and (pair, b) in router_a._predecayed):
+    # Both directions of every pair at which both endpoints are at their
+    # first side of the tick must be stored.
+    appeared = set()
+    for a, b in pairs:
+        if a not in appeared and b not in appeared:
             assert (a, b) in stored and (b, a) in stored
+        appeared.update((a, b))
 
     for (sender, receiver) in stored:
         batched = router_a.select_messages(sender, receiver)

@@ -23,6 +23,9 @@ in review:
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +114,41 @@ class TestSerialVsParallel:
         serial = run_averaged(tiny, "chitchat", seeds, workers=1)
         parallel = run_averaged(tiny, "chitchat", seeds, workers=2)
         assert serial == parallel
+
+
+class TestCrossProcess:
+    """Same seed and same ``PYTHONHASHSEED`` in two processes: same trace.
+
+    Interest sums accumulate in the iteration order of a message's
+    keyword frozenset, which follows ``str`` hashing, so only a pinned
+    hash seed makes token amounts reproducible across processes (see
+    README "Reproducibility").
+    """
+
+    SCRIPT = (
+        "import hashlib, sys\n"
+        "from repro.experiments import ScenarioConfig, run_scenario\n"
+        "run_scenario(ScenarioConfig.tiny(), 'incentive', seed=1,\n"
+        "             trace_path=sys.argv[1])\n"
+        "print(hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest())\n"
+    )
+
+    def _digest(self, path, hash_seed):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("hash_seed", ["0", "917"])
+    def test_same_hash_seed_same_trace_digest(self, tmp_path, hash_seed):
+        first = self._digest(tmp_path / "first.jsonl", hash_seed)
+        second = self._digest(tmp_path / "second.jsonl", hash_seed)
+        assert len(first) == 64
+        assert first == second
