@@ -204,12 +204,14 @@ class SoAWorld(World):
         (consuming the behaviour RNG stream exactly as the per-pair
         loop does: admission outcomes cannot be changed by earlier
         pairs' exchanges, whose transfers settle at strictly later
-        events), (2) one ``prepare_contact_batch`` so non-interleaved
-        pairs decay vectorised, then (3) the open/trace/exchange half
-        per admitted pair in order.  A pair admitted earlier in the
-        batch suppresses later duplicates before their RNG draws —
-        the same skip the live-link check performs per-pair.  Without
-        a batching router this is the plain per-pair loop.
+        events), (2) one ``prepare_contact_batch``, which runs every
+        decay side of the tick in occurrence rounds and precomputes
+        the buffer selections of the selection-safe pairs, then (3)
+        the open/trace/exchange half per admitted pair in order.  A
+        pair admitted earlier in the batch suppresses later duplicates
+        before their RNG draws — the same skip the live-link check
+        performs per-pair.  Without a batching router this is the
+        plain per-pair loop.
         """
         router = self.router
         if not router.supports_contact_batching:

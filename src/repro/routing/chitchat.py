@@ -1357,9 +1357,9 @@ class ChitChatRouter(Router):
         self._preselected: Dict[
             Tuple[int, int], Tuple[float, List[Tuple[Message, str]]]
         ] = {}
-        # Per-sender buffer snapshots for the batched selection:
-        # node id -> (buffer mutation counter, (messages, uuids, sizes,
-        # uuid ranks, memo keys) as parallel lists in buffer order).
+        # Per-sender buffer snapshots for the batched selection: node
+        # id -> (buffer mutation counter, messages, uuids, sizes, uuid
+        # ranks, memo keys), in buffer order (see _buffer_snapshot).
         # Keying on the mutation counter is sound because annotations —
         # the only other way a buffered message's selection identity
         # can change — happen only in the same event as (and after)
@@ -1369,14 +1369,17 @@ class ChitChatRouter(Router):
         # transfer-completion events).
         self._buffer_snaps: Dict[
             int,
-            Tuple[
-                int,
-                Tuple[
-                    List[Message], List[str], List[int],
-                    List[int], List[int],
-                ],
-            ],
+            Tuple[int, List[Message], List[str], np.ndarray, np.ndarray,
+                  np.ndarray],
         ] = {}
+        # Key table of the batched selection: row ``key`` holds the
+        # keyword ids of memo key ``key`` padded with -1, and
+        # ``_key_len[key]`` their count (-1 until resolved).  Filled by
+        # _message_ids, where a key's ids are first resolved (resolving
+        # registers keywords in the shared index, so it must happen
+        # exactly when the sequential path would do it).
+        self._key_ids = np.full((64, 4), -1, dtype=np.int64)
+        self._key_len = np.full(64, -1, dtype=np.int64)
         # Memoised interest sums and destination/relay roles: node id ->
         # (table version at compute time, {memo key -> S},
         # {memo key -> role}).  A node's whole cache is discarded the
@@ -1489,7 +1492,26 @@ class ChitChatRouter(Router):
                 [id_of(k) for k in message.keywords], dtype=np.int64
             )
             self._message_id_cache[key] = ids
+            self._grow_key_table(key + 1, ids.size)
+            self._key_ids[key, :ids.size] = ids
+            self._key_len[key] = ids.size
         return ids
+
+    def _grow_key_table(self, keys: int, width: int = 0) -> None:
+        """Widen the key table to ``keys`` rows × ``width`` ids."""
+        rows, cols = self._key_ids.shape
+        if keys <= rows and width <= cols:
+            return
+        grown = np.full(
+            (rows if keys <= rows else max(rows * 2, keys),
+             cols if width <= cols else max(cols * 2, width)),
+            -1, dtype=np.int64,
+        )
+        grown[:rows, :cols] = self._key_ids
+        lengths = np.full(grown.shape[0], -1, dtype=np.int64)
+        lengths[:rows] = self._key_len
+        self._key_ids = grown
+        self._key_len = lengths
 
     def _connected_keywords(self, node_id: int) -> Set[str]:
         """Keywords held by any currently connected peer of ``node_id``."""
@@ -2039,47 +2061,55 @@ class ChitChatRouter(Router):
             t = tables[nodes[i]]
             t._members_version, t.version = versions0[s]
 
-    def _buffer_entries(
-        self, node
-    ) -> Tuple[
-        List[Message], List[str], List[int], List[int], List[int]
+    def _buffer_snapshot(self, node) -> Tuple[
+        int, List[Message], List[str], np.ndarray, np.ndarray, np.ndarray
     ]:
-        """Snapshot of ``node``'s buffer for the batched selection.
+        """Array snapshot of ``node``'s buffer for the batched selection.
 
-        Parallel lists ``(messages, uuids, sizes, ranks, keys)`` in
-        buffer (arrival) order; rank is the message's position in the
+        ``(mutations, messages, uuids, sizes, ranks, keys)`` in buffer
+        (arrival) order: ``rank`` is the message's position in the
         uuid-sorted order of this buffer, which is all the global
         lexsort needs to replay the ``(-strength, uuid)`` tiebreak —
         ties can only form between messages of the same buffer — and
-        ``keys`` are the interned memo keys (interning here keeps the
-        per-side hot loop free of attribute checks).  Cached on
-        :attr:`MessageBuffer.mutations`, valid because uuid/size/
-        keywords are immutable and annotation (which the counter
-        ignores) never touches them.
+        ``keys`` are the interned memo keys.  Cached on
+        :attr:`MessageBuffer.mutations`: uuids and sizes are immutable,
+        and a buffered message is annotated (which changes its key
+        but not the counter) only in the event that buffered it.
         """
         buffer = node.buffer
         token = buffer.mutations
         snap = self._buffer_snaps.get(node.node_id)
         if snap is not None and snap[0] == token:
-            return snap[1]
+            return snap
         messages = buffer.messages()
-        by_uuid = sorted(range(len(messages)), key=lambda i: messages[i].uuid)
-        ranks = [0] * len(messages)
-        for rank, i in enumerate(by_uuid):
-            ranks[i] = rank
-        intern_key = self._intern_key
-        entry = (
-            messages,
-            [m.uuid for m in messages],
-            [m.size for m in messages],
-            ranks,
-            [
-                m._memo_key if m._memo_key is not None else intern_key(m)
-                for m in messages
-            ],
+        if not messages:
+            # Most buffers are empty at scale: share one empty array.
+            snap = (token, messages, [], _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS)
+            self._buffer_snaps[node.node_id] = snap
+            return snap
+        uuids = [m.uuid for m in messages]
+        ranks = np.empty(len(uuids), dtype=np.int64)
+        ranks[sorted(range(len(uuids)), key=uuids.__getitem__)] = (
+            np.arange(len(uuids))
         )
-        self._buffer_snaps[node.node_id] = (token, entry)
-        return entry
+        intern_key = self._intern_key
+        snap = (
+            token,
+            messages,
+            uuids,
+            np.asarray([m.size for m in messages], dtype=np.int64),
+            ranks,
+            np.asarray(
+                [
+                    m._memo_key if m._memo_key is not None
+                    else intern_key(m)
+                    for m in messages
+                ],
+                dtype=np.int64,
+            ),
+        )
+        self._buffer_snaps[node.node_id] = snap
+        return snap
 
     def _preselect(self, pairs: List[Tuple[int, int]], now: float) -> None:
         """Precompute ``select_messages`` for both sides of ``pairs``.
@@ -2091,244 +2121,186 @@ class ChitChatRouter(Router):
         exchange: a deferred node is shown its first-side row for the
         duration of this call, and a node whose final row is already
         written either has no later side or sits in a pair with both
-        buffers empty, whose selection reads no table.  Everything else ``select_messages`` reads is frozen for the
-        whole up tick: buffers, seen-sets and capacities only change in
+        buffers empty, whose selection reads no table.  Everything else
+        ``select_messages`` reads is frozen for the whole up tick:
+        buffers, seen-sets and capacities only change in
         transfer-completion events (``send_message`` just queues), and
         the whole tick's opens run inside one engine callback.  So
-        computing these sides now is bit-identical — and lets candidate
-        filtering, interest sums, classification and the
-        ``(-strength, uuid)`` ordering run as one fused pass instead of
-        two table gathers and two Python sorts per pair.
+        computing these sides now is bit-identical.
+
+        One array pass serves every side.  Python only walks the sides
+        (buffer snapshot, receiver ``seen`` lookups); the candidates of
+        all sides are then filtered, summed, classified and ordered
+        together.  ``S`` is one padded gather of the fused store per
+        distinct ``(row, memo key)``, accumulated column by column —
+        the left-to-right order of :meth:`InterestTable.sum_for_ids`.
+        Memos are written back only for the offers kept: those are the
+        entries the offer and receive path reads next.
 
         Sides not stored here take the sequential ``select_messages``
         path unchanged.
         """
         preselected = self._preselected
         preselected.clear()
-        store = self._store
-        world = self.world
-        node_of = world.node
-        message_ids = self._message_ids
-        sum_cache = self._sum_cache
-        table = self.table
-
-        # Per-node memo dicts, version-checked once per tick (versions
-        # cannot move between here and the safe pairs' exchanges).
-        caches: Dict[int, Tuple[Dict[int, float], Dict[int, str]]] = {}
-
-        def memo_for(node_id: int) -> Tuple[Dict[int, float], Dict[int, str]]:
-            entry = caches.get(node_id)
-            if entry is None:
-                t = table(node_id)
-                cached = sum_cache.get(node_id)
-                if cached is None or cached[0] != t.version:
-                    cached = (t.version, {}, {})
-                    sum_cache[node_id] = cached
-                entry = (cached[1], cached[2])
-                caches[node_id] = entry
-            return entry
-
-        # Unified slot table: one ``(value, is-destination)`` entry per
-        # needed table read, so the keep/order decision below is pure
-        # array gathers.  Warm entries copy the memo value at creation;
-        # cold ones queue a fused-store gather request and are filled
-        # (and written back to the memos) after the batch compute.
-        # Receiver- and sender-space slots are indexed separately — a
-        # receiver slot needs the sum *and* the role warm, a sender
-        # slot only the sum — so one node can occupy a slot in each
-        # space for the same key; the cold recompute is bit-identical
-        # and the memo writeback idempotent, exactly like the
-        # sequential path's "harmless extra memo entries".
-        rslot_index: Dict[Tuple[int, int], int] = {}
-        sslot_index: Dict[Tuple[int, int], int] = {}
-        slot_vals: List[float] = []
-        slot_dest: List[bool] = []
-        req_slots: List[int] = []
-        req_rows: List[int] = []
-        req_keys: List[int] = []
-        req_sums: List[Dict[int, float]] = []
-        req_roles: List[Dict[int, str]] = []
-        key_slots: Dict[int, List[int]] = {}
-        key_ids: Dict[int, np.ndarray] = {}
-
+        node_of = self.world.node
+        tables = self._tables
+        snapshot = self._buffer_snapshot
         sides: List[Tuple[int, int]] = []
-        flat_side: List[int] = []
-        flat_rank: List[int] = []
-        flat_rslot: List[int] = []
-        flat_sslot: List[int] = []
-        flat_msg: List[Message] = []
-        append_side = flat_side.append
-        append_rank = flat_rank.append
-        append_rs = flat_rslot.append
-        append_ss = flat_sslot.append
-        append_msg = flat_msg.append
-
+        # Per side with a non-empty sender buffer: (side, entries,
+        # receiver capacity, receiver row, sender row).
+        info: List[Tuple[int, int, int, int, int]] = []
+        messages: List[Message] = []
+        seen: List[bool] = []
+        sizes: List[np.ndarray] = []
+        ranks: List[np.ndarray] = []
+        keys: List[np.ndarray] = []
         for a, b in pairs:
             for sender_id, receiver_id in ((a, b), (b, a)):
-                side = len(sides)
                 sides.append((sender_id, receiver_id))
-                messages, uuids, sizes, ranks, keys = self._buffer_entries(
-                    node_of(sender_id)
-                )
-                if not messages:
+                snap = snapshot(node_of(sender_id))
+                if not snap[1]:
                     continue
                 receiver = node_of(receiver_id)
-                seen = receiver.seen
-                receiver_capacity = receiver.buffer.capacity
-                sums_r, roles_r = memo_for(receiver_id)
-                sums_s, roles_s = memo_for(sender_id)
-                recv_row = table(receiver_id)._row
-                send_row = table(sender_id)._row
-                local: Dict[int, Tuple[int, int]] = {}
-                local_get = local.get
-                for i, uuid in enumerate(uuids):
-                    if uuid in seen or sizes[i] > receiver_capacity:
-                        continue
-                    key = keys[i]
-                    slots = local_get(key)
-                    if slots is None:
-                        rs = rslot_index.get((receiver_id, key))
-                        if rs is None:
-                            rs = len(slot_vals)
-                            rslot_index[(receiver_id, key)] = rs
-                            if key in sums_r and key in roles_r:
-                                slot_vals.append(sums_r[key])
-                                slot_dest.append(
-                                    roles_r[key] == "destination"
-                                )
-                            else:
-                                slot_vals.append(0.0)
-                                slot_dest.append(False)
-                                req_slots.append(rs)
-                                req_rows.append(recv_row)
-                                req_keys.append(key)
-                                req_sums.append(sums_r)
-                                req_roles.append(roles_r)
-                                if key not in key_ids:
-                                    key_ids[key] = message_ids(
-                                        messages[i], key
-                                    )
-                                key_slots.setdefault(key, []).append(
-                                    len(req_rows) - 1
-                                )
-                        ss = sslot_index.get((sender_id, key))
-                        if ss is None:
-                            ss = len(slot_vals)
-                            sslot_index[(sender_id, key)] = ss
-                            if key in sums_s:
-                                slot_vals.append(sums_s[key])
-                                slot_dest.append(False)
-                            else:
-                                slot_vals.append(0.0)
-                                slot_dest.append(False)
-                                req_slots.append(ss)
-                                req_rows.append(send_row)
-                                req_keys.append(key)
-                                req_sums.append(sums_s)
-                                req_roles.append(roles_s)
-                                if key not in key_ids:
-                                    key_ids[key] = message_ids(
-                                        messages[i], key
-                                    )
-                                key_slots.setdefault(key, []).append(
-                                    len(req_rows) - 1
-                                )
-                        local[key] = slots = (rs, ss)
-                    append_side(side)
-                    append_rank(ranks[i])
-                    append_rs(slots[0])
-                    append_ss(slots[1])
-                    append_msg(messages[i])
-
-        if req_rows:
-            kmax = max(key_ids[key].size for key in key_slots)
-            n_req = len(req_rows)
-            if kmax == 0:
-                sums_list = [0] * n_req
-                dest_list = [False] * n_req
-            else:
-                ids_mat = np.zeros((n_req, kmax), dtype=np.int64)
-                valid = np.zeros((n_req, kmax), dtype=bool)
-                empty_reqs: List[int] = []
-                for key, slots in key_slots.items():
-                    ids = key_ids[key]
-                    n = ids.size
-                    if n == 0:
-                        empty_reqs.extend(slots)
-                        continue
-                    ids_mat[slots, :n] = ids
-                    valid[slots, :n] = True
-                rows_arr = np.asarray(req_rows, dtype=np.intp)
-                # Mirrors sum_for_ids/any_direct_ids exactly: ids at or
-                # beyond the column capacity contribute weight 0.0 and
-                # direct False; the accumulation is left-to-right with
-                # trailing 0.0 padding, which never moves an IEEE sum
-                # (weights are never -0.0).
-                eff = valid & (ids_mat < store.columns)
-                safe_ids = np.where(eff, ids_mat, 0)
-                Wm = store._w[rows_arr[:, None], safe_ids]
-                Wm[~eff] = 0.0
-                acc = Wm[:, 0]
-                for j in range(1, kmax):
-                    acc = acc + Wm[:, j]
-                dest = (
-                    store._p[rows_arr[:, None], safe_ids]
-                    & store._d[rows_arr[:, None], safe_ids]
-                    & eff
-                ).any(axis=1)
-                sums_list = acc.tolist()
-                dest_list = dest.tolist()
-                for pos in empty_reqs:
-                    # sum_for_ids returns the int 0 for an empty id
-                    # array — preserve the exact memo contents.
-                    sums_list[pos] = 0
-                    dest_list[pos] = False
-            for pos in range(n_req):
-                value = sums_list[pos]
-                is_dest = dest_list[pos]
-                key = req_keys[pos]
-                req_sums[pos][key] = value
-                req_roles[pos][key] = (
-                    "destination" if is_dest else "relay"
-                )
-                slot = req_slots[pos]
-                slot_vals[slot] = value
-                slot_dest[slot] = is_dest
-
-        results: List[List[Tuple[Message, str]]] = [[] for _ in sides]
-        if flat_msg:
-            vals = np.asarray(slot_vals, dtype=np.float64)
-            dests = np.asarray(slot_dest, dtype=bool)
-            rs_arr = np.asarray(flat_rslot, dtype=np.intp)
-            S_r = vals[rs_arr]
-            dest_flags = dests[rs_arr]
-            keep = dest_flags | (
-                S_r > vals[np.asarray(flat_sslot, dtype=np.intp)]
-            )
-            kept = np.flatnonzero(keep)
-            if kept.size:
-                # One global lexsort replays every side's two sequential
-                # sorts: primary = side, then destinations before
-                # relays, then descending strength, then the uuid rank
-                # (ranks are per-buffer, but ties only form within one
-                # side's buffer).  -0.0 vs 0.0 compare equal in both
-                # sorts, so the negation is safe.
-                side_arr = np.asarray(flat_side, dtype=np.intp)
-                rank_arr = np.asarray(flat_rank, dtype=np.int64)
-                order = np.lexsort((
-                    rank_arr[kept],
-                    -S_r[kept],
-                    ~dest_flags[kept],
-                    side_arr[kept],
+                seen.extend(map(receiver.seen.__contains__, snap[2]))
+                messages.extend(snap[1])
+                sizes.append(snap[3])
+                ranks.append(snap[4])
+                keys.append(snap[5])
+                info.append((
+                    len(sides) - 1, len(snap[1]), receiver.buffer.capacity,
+                    tables[receiver_id]._row, tables[sender_id]._row,
                 ))
-                dflags = dest_flags.tolist()
-                for idx in kept[order].tolist():
-                    results[flat_side[idx]].append((
-                        flat_msg[idx],
-                        "destination" if dflags[idx] else "relay",
-                    ))
+        results: List[List[Tuple[Message, str]]] = [[] for _ in sides]
         for i, side_pair in enumerate(sides):
             preselected[side_pair] = (now, results[i])
+        if not info:
+            return
+
+        side_of, lengths, capacity, recv_row, send_row = (
+            np.asarray(info, dtype=np.int64).T
+        )
+        owner = np.repeat(np.arange(len(info)), lengths)
+        candidates = np.flatnonzero(
+            (np.concatenate(sizes) <= capacity[owner])
+            & ~np.asarray(seen, dtype=bool)
+        )
+        if not candidates.size:
+            return
+        owner = owner[candidates]
+        keys_c = np.concatenate(keys)[candidates]
+        self._resolve_keys(keys_c, candidates, messages)
+
+        # One interest sum per distinct (row, key): receiver codes
+        # first, then sender codes, deduplicated together.
+        n_keys = self._key_len.size
+        codes = np.concatenate((
+            recv_row[owner] * n_keys + keys_c,
+            send_row[owner] * n_keys + keys_c,
+        ))
+        unique, inverse = np.unique(codes, return_inverse=True)
+        sums, direct = self._gather_interest(
+            unique // n_keys, unique % n_keys
+        )
+        m = candidates.size
+        S_r = sums[inverse[:m]]
+        S_s = sums[inverse[m:]]
+        dest = direct[inverse[:m]]
+        kept = np.flatnonzero(dest | (S_r > S_s))
+        if not kept.size:
+            return
+        # One global lexsort replays every side's two sequential sorts:
+        # primary = side, then destinations before relays, then
+        # descending strength, then the uuid rank (ranks are
+        # per-buffer, but ties only form within one side's buffer).
+        # -0.0 vs 0.0 compare equal in both sorts, so the negation is
+        # safe.
+        kept = kept[np.lexsort((
+            np.concatenate(ranks)[candidates[kept]],
+            -S_r[kept],
+            ~dest[kept],
+            owner[kept],
+        ))]
+        sum_cache = self._sum_cache
+
+        def memo(node_id: int) -> Tuple[Dict[int, float], Dict[int, str]]:
+            version = tables[node_id].version
+            cached = sum_cache.get(node_id)
+            if cached is None or cached[0] != version:
+                cached = (version, {}, {})
+                sum_cache[node_id] = cached
+            return cached[1], cached[2]
+
+        for position, side, key, s_r, s_s, is_dest in zip(
+            candidates[kept].tolist(),
+            side_of[owner[kept]].tolist(),
+            keys_c[kept].tolist(),
+            S_r[kept].tolist(),
+            S_s[kept].tolist(),
+            dest[kept].tolist(),
+        ):
+            # A kept key always has keywords (an empty one sums to 0 on
+            # both sides and is no destination), so each value is the
+            # float sum_for_ids returns, never its int 0.
+            role = "destination" if is_dest else "relay"
+            results[side].append((messages[position], role))
+            sender_id, receiver_id = sides[side]
+            sums_r, roles_r = memo(receiver_id)
+            sums_r[key] = s_r
+            roles_r[key] = role
+            memo(sender_id)[0][key] = s_s
+
+    def _resolve_keys(
+        self,
+        keys: np.ndarray,
+        positions: np.ndarray,
+        messages: List[Message],
+    ) -> None:
+        """Resolve the ids of every memo key in ``keys`` that has none.
+
+        ``positions[i]`` indexes the message of ``keys[i]`` in
+        ``messages``.  Keys resolve in order of first occurrence, which
+        is the order the per-candidate sequential scan resolves them in
+        (a key with no ids cannot have a warm memo), so the shared
+        keyword index assigns the same ids either way.
+        """
+        self._grow_key_table(len(self._memo_keys))
+        missing = np.flatnonzero(self._key_len[keys] < 0)
+        if not missing.size:
+            return
+        _, first = np.unique(keys[missing], return_index=True)
+        for i in missing[np.sort(first)].tolist():
+            self._message_ids(messages[positions[i]], int(keys[i]))
+
+    def _gather_interest(
+        self, rows: np.ndarray, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``S`` and the destination flag of memo ``keys`` at store ``rows``.
+
+        Mirrors :meth:`InterestTable.sum_for_ids` and
+        :meth:`InterestTable.any_direct_ids` exactly: ids at or beyond
+        the column capacity (and the -1 padding) contribute weight 0.0
+        and direct False, and the sum accumulates left to right; a 0.0
+        term never moves an IEEE sum (weights are never -0.0).
+        """
+        store = self._store
+        width = int(self._key_len[keys].max())
+        if width == 0:
+            return np.zeros(rows.size), np.zeros(rows.size, dtype=bool)
+        ids = self._key_ids[keys, :width]
+        columns = store.columns
+        valid = (ids >= 0) & (ids < columns)
+        # Flat cell indices into the row-major store arrays.
+        cells = np.where(valid, ids + (rows * columns)[:, None], 0)
+        weights = store._w.ravel().take(cells)
+        weights[~valid] = 0.0
+        sums = weights[:, 0].copy()
+        for j in range(1, width):
+            sums += weights[:, j]
+        direct = (
+            store._p.ravel().take(cells) & store._d.ravel().take(cells)
+            & valid
+        ).any(axis=1)
+        return sums, direct
 
     def on_contact_start(self, link: Link) -> None:
         self.prepare_contact(link)

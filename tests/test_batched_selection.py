@@ -6,7 +6,10 @@ paths introduced for the 10k tier to their sequential references:
 * ``ChitChatRouter._preselect`` — the fused candidate-filter /
   interest-sum / classification / lexsort pass — must return, for every
   side it stores, exactly what a sequential ``select_messages`` call
-  would, including the ``(-strength, uuid)`` tiebreak order.
+  would, including the ``(-strength, uuid)`` tiebreak order — from
+  cold, warm or stale memos and across two ticks with a memo key
+  interned in between — and the memos it writes back must equal fresh
+  ``sum_for_ids`` / ``any_direct_ids`` values.
 * ``ReputationSystem.exchange_batch`` — the grouped searchsorted merge
   over all safe pairs of a tick — must leave every book bit-identical
   to pairwise ``exchange`` calls, never share storage between books
@@ -169,6 +172,175 @@ def test_preselect_matches_sequential(scenario):
                 == [(m.uuid, r) for m, r in
                     router_b.select_messages(sender, receiver)]
             )
+
+
+def _offers(router, sender, receiver):
+    return [(m.uuid, role) for m, role in
+            router.select_messages(sender, receiver)]
+
+
+def _assert_memos_exact(router):
+    """Every memo entry valid at its table's version equals a fresh
+    ``sum_for_ids`` / ``any_direct_ids`` — value *and* type, so the int
+    ``0`` of an empty keyword sequence stays an int."""
+    for node_id, (version, sums, roles) in router._sum_cache.items():
+        table = router.table(node_id)
+        if version != table.version:
+            continue
+        for key, value in sums.items():
+            expected = table.sum_for_ids(router._message_id_cache[key])
+            assert value == expected
+            assert type(value) is type(expected)
+        for key, role in roles.items():
+            direct = table.any_direct_ids(router._message_id_cache[key])
+            assert role == ("destination" if direct else "relay")
+
+
+def _compare_tick(router_a, router_b, pairs):
+    """Preselect ``pairs`` on ``router_a``; every side of the tick must
+    match sequential ``select_messages`` on ``router_b``."""
+    router_a.prepare_contact_batch(pairs)
+    _assert_memos_exact(router_a)
+    # Kept offers leave warm memos behind for the receive path: the
+    # receiver's sum and role and the sender's sum.
+    for (sender, receiver), (_, offers) in router_a._preselected.items():
+        for message, role in offers:
+            key = message._memo_key
+            assert router_a._sum_cache[receiver][2][key] == role
+            assert key in router_a._sum_cache[receiver][1]
+            assert key in router_a._sum_cache[sender][1]
+    for pair in pairs:
+        for sender, receiver in (pair, pair[::-1]):
+            assert (
+                _offers(router_a, sender, receiver)
+                == _offers(router_b, sender, receiver)
+            )
+
+
+@st.composite
+def two_tick_scenarios(draw):
+    """A selection scenario, a memo start state, one annotation of a
+    buffered message and a second tick."""
+    scenario = draw(selection_scenarios())
+    memos = draw(st.sampled_from(["cold", "warm", "stale"]))
+    # Weights poked after warming (with a version bump) in "stale".
+    reweights = [
+        {
+            keyword: draw(st.sampled_from([0.0, 0.125, 0.3, 0.9]))
+            for keyword in draw(st.lists(st.sampled_from(KEYWORDS),
+                                         max_size=3, unique=True))
+        }
+        for _ in range(N_NODES)
+    ]
+    annotate = (
+        draw(st.integers(min_value=0, max_value=11)),
+        draw(st.sampled_from(KEYWORDS + ["fresh"])),
+        draw(st.integers(min_value=0, max_value=N_NODES - 1)),
+    )
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        a = draw(st.integers(min_value=0, max_value=N_NODES - 1))
+        b = draw(st.integers(min_value=0, max_value=N_NODES - 1))
+        if a != b and (min(a, b), max(a, b)) not in pairs:
+            pairs.append((min(a, b), max(a, b)))
+    return scenario, memos, reweights, annotate, pairs
+
+
+def _warm(router):
+    for sender in range(N_NODES):
+        for receiver in range(N_NODES):
+            if sender != receiver:
+                router.select_messages(sender, receiver)
+
+
+def _reweight(router, reweights):
+    for node_id, pokes in enumerate(reweights):
+        table = router.table(node_id)
+        for keyword, weight in pokes.items():
+            kid = table._slot(keyword)
+            table._weight[kid] = weight
+            table._present[kid] = True
+        table.version += 1
+
+
+def _annotate(world, holder, index, keyword):
+    """Re-buffer ``holder``'s ``index``-th message with one more keyword,
+    as a copy's arrival plus enrichment does (the buffer mutates, the
+    message's memo key is re-interned)."""
+    buffer = world.node(holder).buffer
+    messages = buffer.messages()
+    if messages:
+        message = buffer.remove(messages[index % len(messages)].uuid)
+        message.annotate(keyword, holder, 0.0)
+        buffer.add(message, now=0.0)
+
+
+@given(two_tick_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_preselect_matches_sequential_across_ticks(scenario):
+    """Cold, warm or stale memos; a memo key interned between ticks.
+
+    The annotated message usually carries a keyword sequence the
+    router has not seen, so its key's ids resolve after the key table
+    served the first tick — the kernel must pick them up.
+    """
+    (interests, weights, capacities, messages, seen, pairs), memos, \
+        reweights, (index, keyword, partner), pairs_2 = scenario
+    world_a, router_a = _build(interests, weights, capacities, messages, seen)
+    world_b, router_b = _build(interests, weights, capacities, messages, seen)
+    for router in (router_a, router_b):
+        if memos != "cold":
+            _warm(router)
+        if memos == "stale":
+            _reweight(router, reweights)
+
+    _compare_tick(router_a, router_b, pairs)
+
+    holder = messages[index % len(messages)][0] if messages else 0
+    for world in (world_a, world_b):
+        _annotate(world, holder, index, keyword)
+    if holder != partner:
+        pairs_2 = [(min(holder, partner), max(holder, partner))] + [
+            pair for pair in pairs_2
+            if pair != (min(holder, partner), max(holder, partner))
+        ]
+    _compare_tick(router_a, router_b, pairs_2)
+
+
+def test_preselect_memo_writeback():
+    """Kept offers write exact memos; warm entries (including the int
+    ``0`` of an empty keyword sequence) keep their exact contents."""
+    interests = [["k0"], ["k1"]] + [["k2"]] * (N_NODES - 2)
+    weights = [{"k3": (0.25, False)}, {"k3": (0.7, False)}] + [
+        {} for _ in range(N_NODES - 2)
+    ]
+    capacities = [1_000_000] * N_NODES
+    messages = [
+        (0, ("k1",), 1_000),         # destination at 1
+        (0, ("k3", "k0"), 1_000),    # relay: 0.7 > 0.25 + 0.5
+        (0, ("k3",), 1_000),         # relay: 0.7 > 0.25
+        (0, (), 1_000),              # no keyword: never offered
+        (1, ("k0",), 1_000),         # destination at 0
+    ]
+    world, router = _build(interests, weights, capacities, messages, [])
+    empty = world.node(0).buffer.get("m003")
+    warm = router.interest_sum(0, empty)
+    assert warm == 0 and type(warm) is int
+    router.prepare_contact_batch([(0, 1)])
+    offers = {
+        side: [(m.uuid, role) for m, role in entry[1]]
+        for side, entry in router._preselected.items()
+    }
+    assert offers == {
+        (0, 1): [("m000", "destination"), ("m002", "relay")],
+        (1, 0): [("m004", "destination")],
+    }
+    _assert_memos_exact(router)
+    assert type(router._sum_cache[0][1][empty._memo_key]) is int
+    # The kernel wrote memos for kept offers only: m001 was a
+    # candidate but not kept, so its key stays cold at the receiver.
+    m001 = world.node(0).buffer.get("m001")
+    assert m001._memo_key not in router._sum_cache.get(1, (0, {}, {}))[1]
 
 
 def test_preselect_consumed_once():
